@@ -96,7 +96,7 @@ func (ins *Instance) ApplyDelta(inserts, deletes []Atom) (DeltaResult, error) {
 		return DeltaResult{}, err
 	}
 	for _, a := range effDel {
-		ins.removeIndexed(a.Key(), a)
+		ins.removeIndexed(a.Key())
 	}
 	for _, a := range effIns {
 		if err := ins.sch.Add(a.Pred, len(a.Args)); err != nil {
@@ -190,9 +190,33 @@ func (ins *Instance) netDelta(inserts, deletes []Atom) (effIns, effDel []Atom, e
 		}
 	}
 
-	insKeys := make(map[string]bool, len(inserts))
-	for _, a := range inserts {
-		insKeys[a.Key()] = true
+	ins.netEach(inserts, deletes,
+		func(stored Atom) { effDel = append(effDel, stored) },
+		func(a Atom) { effIns = append(effIns, a.Clone()) })
+	return effIns, effDel, nil
+}
+
+// PatchedLen returns the atom count ApplyDelta(inserts, deletes) would
+// leave, by the same net rules, without validating or applying the
+// batch — a size precheck that costs no clones.
+func (ins *Instance) PatchedLen(inserts, deletes []Atom) int {
+	n := len(ins.atoms)
+	ins.netEach(inserts, deletes, func(Atom) { n-- }, func(Atom) { n++ })
+	return n
+}
+
+// netEach walks a batch's net effect against the current atom set, in
+// batch order: del sees each distinct present delete that the batch
+// does not re-insert (as the stored atom), then add sees each distinct
+// absent insert (as the batch's atom). The instance is not modified.
+func (ins *Instance) netEach(inserts, deletes []Atom, del, add func(Atom)) {
+	// insSeen holds every insert key; its value flips to true once the
+	// insert loop below has visited that key.
+	insKeys := make([]string, len(inserts))
+	insSeen := make(map[string]bool, len(inserts))
+	for i, a := range inserts {
+		insKeys[i] = a.Key()
+		insSeen[insKeys[i]] = false
 	}
 	seenDel := make(map[string]bool, len(deletes))
 	for _, a := range deletes {
@@ -201,23 +225,23 @@ func (ins *Instance) netDelta(inserts, deletes []Atom) (effIns, effDel []Atom, e
 			continue
 		}
 		seenDel[k] = true
-		stored, present := ins.atoms[k]
-		if present && !insKeys[k] {
-			effDel = append(effDel, stored)
-		}
-	}
-	seenIns := make(map[string]bool, len(inserts))
-	for _, a := range inserts {
-		k := a.Key()
-		if seenIns[k] {
+		if _, reinserted := insSeen[k]; reinserted {
 			continue
 		}
-		seenIns[k] = true
-		if _, present := ins.atoms[k]; !present {
-			effIns = append(effIns, a.Clone())
+		if s, present := ins.atoms[k]; present {
+			del(s.Atom)
 		}
 	}
-	return effIns, effDel, nil
+	for i, a := range inserts {
+		k := insKeys[i]
+		if insSeen[k] {
+			continue
+		}
+		insSeen[k] = true
+		if _, present := ins.atoms[k]; !present {
+			add(a)
+		}
+	}
 }
 
 // patchView builds the successor of old after applying the effective

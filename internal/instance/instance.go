@@ -20,17 +20,27 @@ type posKey struct {
 	t    term.Term
 }
 
+// slot is a stored atom together with its index in the per-predicate
+// list, so removal from that list is O(1) instead of a scan.
+type slot struct {
+	Atom
+	at int
+}
+
 // Instance is a finite set of atoms over constants and labelled nulls,
 // with secondary indexes for join processing:
 //
 //   - a per-predicate list, and
 //   - a per-(predicate, position, term) list,
 //
-// both maintained incrementally on Add/Remove. The zero value is not
-// usable; call New.
+// both maintained incrementally on Add/Remove/ApplyDelta. Removal
+// swaps the list's last element into the freed index: O(1) on the
+// per-predicate list (the atom map records each atom's index there),
+// a scan of the (predicate, position, term) list on the other. The
+// zero value is not usable; call New.
 type Instance struct {
-	atoms  map[string]Atom   `sem:"guardedby(owner)"` // canonical key → atom
-	byPred map[string][]Atom `sem:"guardedby(owner)"` // predicate → atoms (order of insertion, compacted on removal)
+	atoms  map[string]slot   `sem:"guardedby(owner)"` // canonical key → atom and its byPred index
+	byPred map[string][]Atom `sem:"guardedby(owner)"` // predicate → atoms (order of insertion, last swapped into a removed atom's index)
 	byPos  map[posKey][]Atom `sem:"guardedby(owner)"`
 	sch    *schema.Schema    `sem:"guardedby(owner)"` // lazily grown signature of the instance
 
@@ -52,7 +62,7 @@ type Instance struct {
 // New returns an empty instance.
 func New() *Instance {
 	return &Instance{
-		atoms:  make(map[string]Atom),
+		atoms:  make(map[string]slot),
 		byPred: make(map[string][]Atom),
 		byPos:  make(map[posKey][]Atom),
 		sch:    schema.New(),
@@ -111,7 +121,7 @@ func (ins *Instance) AddReport(a Atom) (added bool, err error) {
 // or interned view — callers decide between bare-mutation and delta
 // bookkeeping.
 func (ins *Instance) addIndexed(k string, a Atom) {
-	ins.atoms[k] = a
+	ins.atoms[k] = slot{Atom: a, at: len(ins.byPred[a.Pred])}
 	ins.byPred[a.Pred] = append(ins.byPred[a.Pred], a)
 	for i, t := range a.Args {
 		pk := posKey{a.Pred, i, t}
@@ -122,20 +132,33 @@ func (ins *Instance) addIndexed(k string, a Atom) {
 // Remove deletes the atom if present, reporting whether it was there.
 func (ins *Instance) Remove(a Atom) bool {
 	k := a.Key()
-	stored, ok := ins.atoms[k]
-	if !ok {
+	if _, ok := ins.atoms[k]; !ok {
 		return false
 	}
-	ins.removeIndexed(k, stored)
+	ins.removeIndexed(k)
 	ins.noteBareMutation()
 	return true
 }
 
-// removeIndexed is the index-maintenance half of Remove; the same
-// epoch/journal/view caveat as addIndexed applies.
-func (ins *Instance) removeIndexed(k string, stored Atom) {
+// removeIndexed is the index-maintenance half of Remove for the
+// present atom with key k; the same epoch/journal/view caveat as
+// addIndexed applies. The per-predicate list moves its last atom into
+// the freed index — the order a scan-and-swap removal would leave.
+func (ins *Instance) removeIndexed(k string) {
+	s := ins.atoms[k]
+	stored := s.Atom
 	delete(ins.atoms, k)
-	ins.byPred[stored.Pred] = dropAtom(ins.byPred[stored.Pred], stored)
+	list := ins.byPred[stored.Pred]
+	last := len(list) - 1
+	if s.at != last {
+		moved := list[last]
+		list[s.at] = moved
+		mk := moved.Key()
+		ms := ins.atoms[mk]
+		ms.at = s.at
+		ins.atoms[mk] = ms
+	}
+	ins.byPred[stored.Pred] = list[:last]
 	for i, t := range stored.Args {
 		pk := posKey{stored.Pred, i, t}
 		ins.byPos[pk] = dropAtom(ins.byPos[pk], stored)
@@ -155,8 +178,9 @@ func (ins *Instance) noteBareMutation() {
 	ins.invalidateInterned()
 }
 
-// dropAtom removes a from the list by structural equality, avoiding the
-// per-element Key allocations the removal path used to pay.
+// dropAtom removes a from the list by structural equality, moving the
+// last element into its index. It scans, so it serves the short
+// per-(predicate, position, term) lists only.
 func dropAtom(list []Atom, a Atom) []Atom {
 	for i := range list {
 		if list[i].Equal(a) {
@@ -183,8 +207,8 @@ func (ins *Instance) Schema() *schema.Schema { return ins.sch }
 // Atoms returns all atoms in canonical order.
 func (ins *Instance) Atoms() []Atom {
 	out := make([]Atom, 0, len(ins.atoms))
-	for _, a := range ins.atoms {
-		out = append(out, a)
+	for _, s := range ins.atoms {
+		out = append(out, s.Atom)
 	}
 	SortAtoms(out)
 	return out
@@ -194,8 +218,8 @@ func (ins *Instance) Atoms() []Atom {
 // sort cost of Atoms for hot paths.
 func (ins *Instance) AtomsUnordered() []Atom {
 	out := make([]Atom, 0, len(ins.atoms))
-	for _, a := range ins.atoms {
-		out = append(out, a)
+	for _, s := range ins.atoms {
+		out = append(out, s.Atom)
 	}
 	return out
 }
@@ -214,8 +238,8 @@ func (ins *Instance) ByPos(pred string, pos int, t term.Term) []Atom {
 // canonical order.
 func (ins *Instance) Terms() []term.Term {
 	seen := make(map[term.Term]bool)
-	for _, a := range ins.atoms {
-		for _, t := range a.Args {
+	for _, s := range ins.atoms {
+		for _, t := range s.Args {
 			seen[t] = true
 		}
 	}
@@ -243,8 +267,8 @@ func (ins *Instance) Nulls() []term.Term {
 // Clone returns an independent deep copy.
 func (ins *Instance) Clone() *Instance {
 	out := New()
-	for _, a := range ins.atoms {
-		if err := out.Add(a); err != nil {
+	for _, s := range ins.atoms {
+		if err := out.Add(s.Atom); err != nil {
 			panic(err) // cannot happen: source atoms were validated
 		}
 	}
@@ -253,17 +277,27 @@ func (ins *Instance) Clone() *Instance {
 
 // ReplaceTerm rewrites every occurrence of old to new, re-indexing the
 // affected atoms. It is the primitive the egd chase uses to identify
-// nulls. Atoms that collapse onto existing ones are merged.
+// nulls. Atoms that collapse onto existing ones are merged. Affected
+// atoms are rewritten in per-predicate list order over sorted
+// predicates, so the resulting index order depends only on the call
+// sequence.
 func (ins *Instance) ReplaceTerm(old, new term.Term) {
 	if old == new {
 		return
 	}
+	preds := make([]string, 0, len(ins.byPred))
+	for p := range ins.byPred {
+		preds = append(preds, p)
+	}
+	sort.Strings(preds)
 	var touched []Atom
-	for _, a := range ins.atoms {
-		for _, t := range a.Args {
-			if t == old {
-				touched = append(touched, a)
-				break
+	for _, p := range preds {
+		for _, a := range ins.byPred[p] {
+			for _, t := range a.Args {
+				if t == old {
+					touched = append(touched, a)
+					break
+				}
 			}
 		}
 	}
@@ -286,8 +320,8 @@ func (ins *Instance) Union(other *Instance) (*Instance, error) {
 	if other == nil {
 		return ins, nil
 	}
-	for _, a := range other.atoms {
-		if err := ins.Add(a); err != nil {
+	for _, s := range other.atoms {
+		if err := ins.Add(s.Atom); err != nil {
 			return nil, err
 		}
 	}

@@ -72,7 +72,7 @@ func (s *Server) servePatch(w http.ResponseWriter, r *http.Request) {
 	// Exact post-batch size precheck: net arithmetic on the current
 	// atom set, so an oversized patch rejects without applying anything.
 	if max := s.instances.maxAtoms; max > 0 {
-		if after := patchedLen(e.db, ins, del); after > max {
+		if after := e.db.PatchedLen(ins, del); after > max {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("patch grows instance to %d atoms, limit %d", after, max))
 			return
@@ -99,38 +99,4 @@ func (s *Server) servePatch(w http.ResponseWriter, r *http.Request) {
 		Deleted:  res.Deleted,
 		Atoms:    e.db.Len(),
 	})
-}
-
-// patchedLen computes the exact instance size after the net batch:
-// distinct present deletes not re-inserted leave, distinct absent
-// inserts arrive.
-func patchedLen(db *instance.Instance, ins, del []instance.Atom) int {
-	n := db.Len()
-	insKeys := make(map[string]bool, len(ins))
-	for _, a := range ins {
-		insKeys[a.Key()] = true
-	}
-	seenDel := make(map[string]bool, len(del))
-	for _, a := range del {
-		k := a.Key()
-		if seenDel[k] {
-			continue
-		}
-		seenDel[k] = true
-		if db.Has(a) && !insKeys[k] {
-			n--
-		}
-	}
-	seenIns := make(map[string]bool, len(ins))
-	for _, a := range ins {
-		k := a.Key()
-		if seenIns[k] {
-			continue
-		}
-		seenIns[k] = true
-		if !db.Has(a) {
-			n++
-		}
-	}
-	return n
 }

@@ -32,18 +32,20 @@ import (
 //
 // Id stability across epochs is what makes reuse sound: ApplyDelta
 // extends the view's symbol table via lineage-preserving clones, and
-// ExecuteDelta verifies iv.Table.Extends(prev.view.Table) before
-// trusting any cached id. A view from a different lineage (a rebuilt
-// view after a bare Add/Remove, an overlay's detached table) fails the
-// check and forces a full recompute.
+// ExecuteDelta verifies iv.Table.Extends(prev.table) before trusting
+// any cached id. A view from a different lineage (a rebuilt view after
+// a bare Add/Remove, an overlay's detached table) fails the check and
+// forces a full recompute.
 
 // ReducerState is the retained evaluation state of one (plan, instance
-// snapshot) pair: the view it ran over, the per-tree reduced
-// projections, and the answers. It is immutable after the run that
-// produced it and safe to share across goroutines; ExecuteDelta never
-// mutates its input state, it returns a fresh one.
+// snapshot) pair: the symbol table of the view it ran over, the
+// per-tree reduced projections, and the answers. It keeps no view, so
+// the relations of older epochs stay collectable while states are
+// cached. It is immutable after the run that produced it and safe to
+// share across goroutines; ExecuteDelta never mutates its input state,
+// it returns a fresh one.
 type ReducerState struct {
-	view    *instance.InternedView
+	table   *symtab.Table
 	projs   []irel // per root, aligned with Compiled.roots
 	answers [][]term.Term
 
@@ -74,7 +76,7 @@ func (s *ReducerState) Answers() [][]term.Term { return s.answers }
 // falls back to a full evaluation with TreesRecomputed = NumTrees.
 func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, deltas []instance.Delta, opt Options) ([][]term.Term, *ReducerState, error) {
 	iv := db.Interned()
-	if prev == nil || prev.incomplete || prev.view == nil || !iv.Table.Extends(prev.view.Table) {
+	if prev == nil || prev.incomplete || prev.table == nil || !iv.Table.Extends(prev.table) {
 		ans, state, err := c.executeView(iv, opt, true)
 		if err == nil && opt.Stats != nil {
 			opt.Stats.TreesRecomputed = int64(len(c.roots))
@@ -87,7 +89,7 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 		st.opt.Stats.Method = "yannakakis"
 	}
 
-	netIns, netDel := c.netPlanDelta(prev.view, deltas)
+	netIns, netDel := c.netPlanDelta(deltas)
 	if st.opt.Stats != nil {
 		st.opt.Stats.DeltaInserts = int64(len(netIns))
 		st.opt.Stats.DeltaDeletes = int64(len(netDel))
@@ -99,7 +101,7 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 			st.opt.Stats.TreesReused = int64(len(c.roots))
 			st.opt.Stats.Answers = len(prev.answers)
 		}
-		return prev.answers, &ReducerState{view: iv, projs: prev.projs, answers: prev.answers}, nil
+		return prev.answers, &ReducerState{table: iv.Table, projs: prev.projs, answers: prev.answers}, nil
 	}
 
 	// Classify each tree: 0 untouched, 1 insert-only, 2 saw a delete.
@@ -151,7 +153,7 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 		}
 	}
 
-	state := &ReducerState{view: iv, projs: projs}
+	state := &ReducerState{table: iv.Table, projs: projs}
 	for ridx := range projs {
 		if projs[ridx].n == 0 {
 			// One empty tree empties the cross-product. Unlike the full
@@ -178,17 +180,18 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 }
 
 // netPlanDelta folds a delta sequence into its net effect on the
-// predicates the plan reads, relative to the view the cached state was
-// computed over. Each atom's last journalled operation decides its
-// final presence; comparing that against presence in the old view
-// drops atoms that ended where they started (delete-then-reinsert
-// across batches, and vice versa). Returned slices are ordered by
-// first occurrence in the delta sequence — deterministic for a
-// deterministic sequence.
-func (c *Compiled) netPlanDelta(old *instance.InternedView, deltas []instance.Delta) (netIns, netDel []instance.Atom) {
+// predicates the plan reads, relative to the instance the cached state
+// was computed over. Journalled batches are net — an effective delete
+// was present before its batch, an effective insert absent — so an
+// atom's first operation in the sequence gives its presence in that
+// instance, and its last operation its presence now; atoms that ended
+// where they started (delete-then-reinsert across batches, and vice
+// versa) drop out. Returned slices are ordered by first occurrence in
+// the delta sequence — deterministic for a deterministic sequence.
+func (c *Compiled) netPlanDelta(deltas []instance.Delta) (netIns, netDel []instance.Atom) {
 	type op struct {
-		a   instance.Atom
-		ins bool
+		a        instance.Atom
+		was, ins bool
 	}
 	var ops []op
 	index := make(map[string]int)
@@ -198,11 +201,11 @@ func (c *Compiled) netPlanDelta(old *instance.InternedView, deltas []instance.De
 		}
 		k := a.Key()
 		if i, ok := index[k]; ok {
-			ops[i] = op{a: a, ins: ins}
+			ops[i].a, ops[i].ins = a, ins
 			return
 		}
 		index[k] = len(ops)
-		ops = append(ops, op{a: a, ins: ins})
+		ops = append(ops, op{a: a, was: !ins, ins: ins})
 	}
 	for _, d := range deltas {
 		// Mirror ApplyDelta's batch order: deletes, then inserts.
@@ -214,51 +217,14 @@ func (c *Compiled) netPlanDelta(old *instance.InternedView, deltas []instance.De
 		}
 	}
 	for _, o := range ops {
-		was := viewHas(old, o.a)
 		switch {
-		case o.ins && !was:
+		case o.ins && !o.was:
 			netIns = append(netIns, o.a)
-		case !o.ins && was:
+		case !o.ins && o.was:
 			netDel = append(netDel, o.a)
 		}
 	}
 	return netIns, netDel
-}
-
-// viewHas reports whether the view contains the atom, by interned
-// lookup against the position-0 sorted run (a Lookup miss on any term
-// proves absence).
-func viewHas(iv *instance.InternedView, a instance.Atom) bool {
-	rel := iv.Relation(a.Pred)
-	if rel == nil || rel.Arity != len(a.Args) {
-		return false
-	}
-	if rel.Arity == 0 {
-		return rel.Rows() > 0
-	}
-	ids := make([]symtab.ID, len(a.Args))
-	for i, t := range a.Args {
-		id, ok := iv.Table.Lookup(t)
-		if !ok {
-			return false
-		}
-		ids[i] = id
-	}
-	lo, hi := rel.Range(0, ids[0])
-	for k := lo; k < hi; k++ {
-		row := rel.Row(rel.RowAt(0, k))
-		match := true
-		for i := 1; i < rel.Arity; i++ {
-			if row[i] != ids[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // repairTree applies the semi-naive delta rule to one insert-only

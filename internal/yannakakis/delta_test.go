@@ -311,3 +311,114 @@ func TestExecuteViewOverlay(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaNetAcrossBatches: atoms inserted then deleted, deleted then
+// reinserted, and inserted, deleted and reinserted over several
+// journalled batches net out against the state's epoch. From a state
+// at every epoch of the sequence, ExecuteDelta must answer exactly as
+// a full run on the current instance, and DeltaInserts/DeltaDeletes
+// must equal the counts of each atom's last operation compared with
+// its presence in a snapshot taken at the state's epoch.
+func TestDeltaNetAcrossBatches(t *testing.T) {
+	q := cq.MustParse("q(x,z) :- E(x,y), E(y,z).")
+	forest, ok := hypergraph.GYO(q.Atoms)
+	if !ok {
+		t.Fatal("query not acyclic")
+	}
+	c, err := Compile(q, forest)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	p := func(a string) instance.Atom { return instance.NewAtom("P", term.Const(a)) }
+	db := mustDB(t, edge("a", "b"), edge("b", "c"), edge("c", "d"), edge("d", "a"), edge("c", "w"))
+	x, y, z, w := edge("b", "x"), edge("b", "c"), edge("d", "z"), edge("c", "w")
+	batches := []deltaStep{
+		{ins: []instance.Atom{x, z, p("a")}, del: []instance.Atom{y, w}},
+		{ins: []instance.Atom{y, w, edge("a", "u")}, del: []instance.Atom{x, z}},
+		{ins: []instance.Atom{z}, del: []instance.Atom{w, edge("d", "a"), p("a")}},
+	}
+
+	type snap struct {
+		state *ReducerState
+		db    *instance.Instance
+		epoch uint64
+	}
+	_, state, err := c.ExecuteState(db, Options{})
+	if err != nil {
+		t.Fatalf("ExecuteState: %v", err)
+	}
+	snaps := []snap{{state, db.Clone(), db.Epoch()}}
+	for i, b := range batches {
+		if _, err := db.ApplyDelta(b.ins, b.del); err != nil {
+			t.Fatalf("batch %d: ApplyDelta: %v", i, err)
+		}
+		deltas, ok := db.DeltaSince(snaps[i].epoch)
+		if !ok {
+			t.Fatalf("batch %d: DeltaSince not bridgeable", i)
+		}
+		_, next, err := c.ExecuteDelta(snaps[i].state, db, deltas, Options{})
+		if err != nil {
+			t.Fatalf("batch %d: ExecuteDelta: %v", i, err)
+		}
+		snaps = append(snaps, snap{next, db.Clone(), db.Epoch()})
+	}
+
+	want, err := c.Execute(db, Options{})
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	for _, s := range snaps[:len(batches)] {
+		deltas, ok := db.DeltaSince(s.epoch)
+		if !ok {
+			t.Fatalf("epoch %d: DeltaSince not bridgeable", s.epoch)
+		}
+		var st obs.EvalStats
+		got, _, err := c.ExecuteDelta(s.state, db, deltas, Options{Stats: &st})
+		if err != nil {
+			t.Fatalf("epoch %d: ExecuteDelta: %v", s.epoch, err)
+		}
+		if !sameAnswers(got, want) {
+			t.Fatalf("epoch %d: answers %v, want %v", s.epoch, got, want)
+		}
+
+		// Each atom's last operation against its presence at the
+		// state's epoch.
+		last := make(map[string]bool)
+		var order []instance.Atom
+		for _, d := range deltas {
+			for _, ops := range []struct {
+				atoms []instance.Atom
+				ins   bool
+			}{{d.Deletes, false}, {d.Inserts, true}} {
+				for _, a := range ops.atoms {
+					if a.Pred != "E" {
+						continue
+					}
+					if _, seen := last[a.Key()]; !seen {
+						order = append(order, a)
+					}
+					last[a.Key()] = ops.ins
+				}
+			}
+		}
+		var wantIns, wantDel int64
+		for _, a := range order {
+			was := s.db.Has(a)
+			switch ins := last[a.Key()]; {
+			case ins && !was:
+				wantIns++
+			case !ins && was:
+				wantDel++
+			}
+		}
+		if st.DeltaInserts != wantIns || st.DeltaDeletes != wantDel {
+			t.Fatalf("epoch %d: DeltaInserts/DeltaDeletes = %d/%d, want %d/%d",
+				s.epoch, st.DeltaInserts, st.DeltaDeletes, wantIns, wantDel)
+		}
+		if s.epoch == snaps[0].epoch && (wantIns != 2 || wantDel != 2) {
+			// z and a→u net in; w and d→a net out; x and y end where
+			// they started.
+			t.Fatalf("from the first epoch: net +%d -%d, want +2 -2", wantIns, wantDel)
+		}
+	}
+}

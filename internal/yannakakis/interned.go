@@ -415,7 +415,7 @@ func (c *Compiled) executeView(iv *instance.InternedView, opt Options, keepState
 	if !keepState {
 		return out, nil, nil
 	}
-	return out, &ReducerState{view: iv, projs: projs, answers: out}, nil
+	return out, &ReducerState{table: iv.Table, projs: projs, answers: out}, nil
 }
 
 // incompleteState returns the marker state of a short-circuited run
@@ -424,7 +424,7 @@ func (c *Compiled) incompleteState(iv *instance.InternedView, keepState bool) *R
 	if !keepState {
 		return nil
 	}
-	return &ReducerState{view: iv, incomplete: true}
+	return &ReducerState{table: iv.Table, incomplete: true}
 }
 
 // materializeAnswers is the answer boundary: dedup on interned tuples,
