@@ -7,17 +7,13 @@
 //     indexed star workload at two scales, a free-variable path-3 and a
 //     Boolean path-6 over random graphs. Answers and deterministic
 //     stats fingerprints are checked identical.
-//   - generic: hom.Evaluate with the interned candidate pre-filter
-//     against the ByPred/ByPos map path (DisableInternedCandidates).
+//   - generic: hom.Evaluate, which runs the compiled hom.Program over
+//     the interned view, against backtracking through hom.Enumerate on
+//     the ByPred/ByPos map path. Answers are checked identical.
 //   - micro probes: the steady-state semijoin membership probe
 //     (string-key map vs merge-join over sorted ids) and the index
 //     probe (ByPos map vs columnar Range); the interned sides must
 //     report 0 allocs/op.
-//   - decision parity: the BENCH_1 triangle-sticky and
-//     triangle-inclusion complete searches with the pre-filter toggled.
-//     Decision targets stay below the interning threshold by design, so
-//     these arms assert unchanged witnesses and ~1x time, and are
-//     excluded from the geomean.
 //
 // The tool fails (exit 1) if the geomean speedup of the interned arms
 // is below 2x, any interned micro probe allocates, or any arm's answers
@@ -33,7 +29,6 @@ import (
 	"runtime"
 	"testing"
 
-	"semacyclic/internal/core"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/gen"
 	"semacyclic/internal/hom"
@@ -67,16 +62,6 @@ type internArm struct {
 	Probe bool `json:"probe"`
 }
 
-// internDecisionArm is one BENCH_1 parity check: the decision path must
-// be unaffected by the interning layer.
-type internDecisionArm struct {
-	Case         string  `json:"case"`
-	BaselineNsOp int64   `json:"baseline_ns_op"`
-	InternedNsOp int64   `json:"interned_ns_op"`
-	Ratio        float64 `json:"ratio"`
-	WitnessEqual bool    `json:"witness_equal"`
-}
-
 type internReport struct {
 	GeneratedBy string `json:"generated_by"`
 	GoVersion   string `json:"go_version"`
@@ -85,15 +70,14 @@ type internReport struct {
 	// Eval are the end-to-end evaluation arms (compiled interned vs
 	// string oracle); the ≥2x geomean acceptance claim is over these.
 	Eval []internArm `json:"eval"`
-	// Generic is the hom.Evaluate pre-filter comparison: a parity check
-	// (identical answers; probe cost, not wall time, is the point).
+	// Generic compares the compiled hom.Program with map-path
+	// backtracking; excluded from the geomean.
 	Generic internArm `json:"generic"`
 	// Probes are the steady-state micro probes; the acceptance claim on
 	// them is 0 interned allocs/op, with latency reported for honesty
 	// (a hash probe is O(1), the merge-join probe O(log n) — the
 	// end-to-end wins come from never materializing per-row keys).
-	Probes   []internArm         `json:"probes"`
-	Decision []internDecisionArm `json:"decision_parity"`
+	Probes []internArm `json:"probes"`
 	// GeomeanSpeedup is over the Eval arms; the acceptance claim is ≥2x.
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
 	// MaxProbeAllocs is the largest interned allocs/op across Probes;
@@ -149,18 +133,16 @@ func internEvalArm(name string, q *cq.CQ, db *instance.Instance) internArm {
 	return arm
 }
 
-// internGenericArm compares hom.Evaluate with and without the interned
-// candidate pre-filter.
+// internGenericArm compares hom.Evaluate (the compiled Program over the
+// interned view) with map-path backtracking through hom.Enumerate.
 func internGenericArm(name string, q *cq.CQ, db *instance.Instance) internArm {
-	hom.DisableInternedCandidates = true
-	bAns := hom.Evaluate(q, db)
+	bAns := mapPathEvaluate(q, db)
 	rb := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hom.Evaluate(q, db)
+			mapPathEvaluate(q, db)
 		}
 	})
-	hom.DisableInternedCandidates = false
 	iAns := hom.Evaluate(q, db)
 	ri := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -182,6 +164,24 @@ func internGenericArm(name string, q *cq.CQ, db *instance.Instance) internArm {
 		arm.Speedup = float64(arm.BaselineNsOp) / float64(arm.InternedNsOp)
 	}
 	return arm
+}
+
+// mapPathEvaluate is generic evaluation on the map path: hom.Enumerate
+// over the ByPred/ByPos indexes, deduplicated on canonical tuple keys.
+func mapPathEvaluate(q *cq.CQ, db *instance.Instance) [][]term.Term {
+	seen := make(map[string]bool)
+	var out [][]term.Term
+	var buf []byte
+	hom.Enumerate(q.Atoms, db, nil, func(s term.Subst) bool {
+		tuple := s.ResolveTuple(q.Free)
+		buf = hom.AppendTupleKey(buf[:0], tuple)
+		if !seen[string(buf)] {
+			seen[string(buf)] = true
+			out = append(out, tuple)
+		}
+		return true
+	})
+	return hom.Canonicalize(out)
 }
 
 // internMicroSemijoinArm: the steady-state semijoin membership probe.
@@ -359,54 +359,6 @@ func internMicroIndexArm() internArm {
 	return arm
 }
 
-// internDecisionParity reruns two BENCH_1 complete searches with the
-// candidate pre-filter toggled: decision targets never cross the
-// interning threshold, so witnesses must be identical and the ratio ~1.
-func internDecisionParity() []internDecisionArm {
-	var out []internDecisionArm
-	for _, c := range benchCases() {
-		if c.name != "triangle-sticky" && c.name != "triangle-inclusion" {
-			continue
-		}
-		opt := core.Options{Parallelism: 1, SearchBudget: c.budget}
-		hom.DisableInternedCandidates = true
-		wBase, _, _, err := core.SearchComplete(c.q, c.set, opt, c.bound)
-		must(err)
-		rb := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.SearchComplete(c.q, c.set, opt, c.bound); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		hom.DisableInternedCandidates = false
-		wInt, _, _, err := core.SearchComplete(c.q, c.set, opt, c.bound)
-		must(err)
-		ri := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.SearchComplete(c.q, c.set, opt, c.bound); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		equal := (wBase == nil) == (wInt == nil)
-		if wBase != nil && wInt != nil {
-			equal = wBase.String() == wInt.String()
-		}
-		arm := internDecisionArm{
-			Case:         c.name,
-			BaselineNsOp: rb.NsPerOp(),
-			InternedNsOp: ri.NsPerOp(),
-			WitnessEqual: equal,
-		}
-		if arm.InternedNsOp > 0 {
-			arm.Ratio = float64(arm.BaselineNsOp) / float64(arm.InternedNsOp)
-		}
-		out = append(out, arm)
-	}
-	return out
-}
-
 // runInternOut measures the interned hot-path trajectory and writes
 // BENCH_5.
 func runInternOut(path string) int {
@@ -431,7 +383,6 @@ func runInternOut(path string) int {
 	report.Generic = internGenericArm("generic-star-hom", starQ,
 		indexWorkloadDB(rand.New(rand.NewSource(43)), []string{"R0", "R1", "R2"}, 8000, 100, 200))
 	report.Probes = append(report.Probes, internMicroSemijoinArm(), internMicroIndexArm())
-	report.Decision = internDecisionParity()
 
 	printArm := func(a internArm) {
 		fmt.Printf("intern %-24s answers=%-6d baseline=%-10d interned=%-10d ns/op  allocs %d→%d  speedup=%.2fx agree=%v fp=%v\n",
@@ -465,14 +416,6 @@ func runInternOut(path string) int {
 		}
 		if a.InternedAllocsOp > report.MaxProbeAllocs {
 			report.MaxProbeAllocs = a.InternedAllocsOp
-		}
-	}
-	for _, d := range report.Decision {
-		fmt.Printf("intern %-24s baseline=%-12d interned=%-12d ns/op  ratio=%.2fx witness-equal=%v\n",
-			d.Case, d.BaselineNsOp, d.InternedNsOp, d.Ratio, d.WitnessEqual)
-		if !d.WitnessEqual {
-			fmt.Fprintf(os.Stderr, "experiments: intern %s: decision witness changed under interning\n", d.Case)
-			return 1
 		}
 	}
 	if report.GeomeanSpeedup < 2 {

@@ -7,6 +7,7 @@ import (
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
 	"semacyclic/internal/yannakakis"
@@ -105,7 +106,7 @@ func CrossCheck(q *cq.CQ, set *deps.Set, db *instance.Instance, opt Options) (*C
 				return rep, fmt.Errorf("core: crosscheck: yannakakis oracle: %w", err)
 			}
 			rep.Methods = append(rep.Methods, MethodAnswers{
-				Method: "yannakakis-oracle", Answers: canonicalizeAnswers(oracle),
+				Method: "yannakakis-oracle", Answers: hom.Canonicalize(oracle),
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/telemetry"
@@ -12,7 +13,8 @@ import (
 // ExecuteIncremental threads a ReducerState from run to run so that a
 // plan re-evaluated after an instance.ApplyDelta pays for the delta,
 // not the database, and ExecuteOverlay evaluates a what-if
-// instance.Overlay without materializing it (on the Yannakakis path).
+// instance.Overlay without materializing it (on the Yannakakis and
+// generic paths).
 
 // ReducerState carries one plan's retained evaluation state for one
 // instance across epochs: the epoch it was computed at plus the
@@ -83,41 +85,37 @@ func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eop
 	if err != nil {
 		return nil, nil, nil, mapEvalCancelled(err)
 	}
-	ans = canonicalizeAnswers(ans)
+	ans = hom.Canonicalize(ans)
 	st.Answers = len(ans)
 	st.WallNS = sw.ElapsedNS()
 	return ans, st, &ReducerState{Epoch: db.Epoch(), inner: inner}, nil
 }
 
 // ExecuteOverlay evaluates the plan against an overlay (what-if) view
-// of a base instance. On the Yannakakis path the overlay's patched
-// columnar view is evaluated directly — cost proportional to the
-// delta, the base untouched; every other method materializes the
-// overlay and runs Execute on the copy. Answers are exactly Execute's
-// on the materialized overlay.
+// of a base instance. The Yannakakis and generic methods run on the
+// overlay's patched columnar view directly — cost proportional to the
+// delta, the base untouched; the game methods materialize the overlay
+// and run Execute on the copy. Answers are exactly Execute's on the
+// materialized overlay.
 func (p *Plan) ExecuteOverlay(ov *instance.Overlay, eopt EvalOptions) ([][]term.Term, *obs.EvalStats, error) {
-	if !p.Incremental() {
-		mat, err := ov.Materialize()
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.Execute(mat, eopt)
+	switch {
+	case p.Incremental():
+		return p.timed(eopt, func(st *obs.EvalStats) ([][]term.Term, error) {
+			return p.compiled.ExecuteView(ov.Interned(), yannakakis.Options{
+				Cancel:       eopt.Cancel,
+				DisableIndex: eopt.DisableIndex,
+				Stats:        st,
+				Trace:        eopt.Trace,
+			})
+		})
+	case p.Method == MethodGeneric:
+		return p.timed(eopt, func(*obs.EvalStats) ([][]term.Term, error) {
+			return p.generic.Execute(ov.Interned(), eopt.Cancel)
+		})
 	}
-	st := &obs.EvalStats{Method: p.Method}
-	sw := telemetry.StartTimer()
-	sp := eopt.Trace.Start("execute")
-	defer sp.End()
-	ans, err := p.compiled.ExecuteView(ov.Interned(), yannakakis.Options{
-		Cancel:       eopt.Cancel,
-		DisableIndex: eopt.DisableIndex,
-		Stats:        st,
-		Trace:        eopt.Trace,
-	})
+	mat, err := ov.Materialize()
 	if err != nil {
-		return nil, nil, mapEvalCancelled(err)
+		return nil, nil, err
 	}
-	ans = canonicalizeAnswers(ans)
-	st.Answers = len(ans)
-	st.WallNS = sw.ElapsedNS()
-	return ans, st, nil
+	return p.Execute(mat, eopt)
 }

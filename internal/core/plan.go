@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
@@ -13,7 +12,6 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
-	"semacyclic/internal/symtab"
 	"semacyclic/internal/telemetry"
 	"semacyclic/internal/term"
 	"semacyclic/internal/yannakakis"
@@ -65,6 +63,9 @@ type Plan struct {
 	// semijoin columns, join/projection programs) is integer-coded once
 	// here, so Execute never re-interns the query per database.
 	compiled *yannakakis.Compiled
+	// generic is the query's compiled backtracking program for
+	// MethodGeneric (explicit or the auto fallback), likewise built once.
+	generic *hom.Program
 }
 
 // EvalOptions tunes one Plan.Execute run.
@@ -109,7 +110,7 @@ func CompilePlan(q *cq.CQ, set *deps.Set, opt Options, method string) (*Plan, er
 	p := &Plan{Query: q, Set: set, Verdict: Unknown}
 	switch method {
 	case MethodGeneric:
-		p.Method = MethodGeneric
+		p.Method, p.generic = MethodGeneric, hom.Compile(q)
 		return p, nil
 	case MethodGuardedGame:
 		if !set.PureTGDs() || !set.IsGuarded() {
@@ -156,7 +157,7 @@ func CompilePlan(q *cq.CQ, set *deps.Set, opt Options, method string) (*Plan, er
 		if method == MethodYannakakis {
 			return nil, fmt.Errorf("core: query is not verifiably semantically acyclic (verdict %s)", res.Verdict)
 		}
-		p.Method = MethodGeneric
+		p.Method, p.generic = MethodGeneric, hom.Compile(q)
 		return p, nil
 	default:
 		return nil, fmt.Errorf("core: unknown evaluation method %q", method)
@@ -167,35 +168,40 @@ func CompilePlan(q *cq.CQ, set *deps.Set, opt Options, method string) (*Plan, er
 // in canonical (sorted, deduplicated) order together with the
 // evaluation stats. Safe for concurrent use.
 func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, *obs.EvalStats, error) {
+	return p.timed(eopt, func(st *obs.EvalStats) ([][]term.Term, error) {
+		switch p.Method {
+		case MethodYannakakis:
+			return p.compiled.Execute(db, yannakakis.Options{
+				Cancel:       eopt.Cancel,
+				DisableIndex: eopt.DisableIndex,
+				Stats:        st,
+				Trace:        eopt.Trace,
+			})
+		case MethodGuardedGame:
+			return game.EvaluateOpt(p.Query, db, game.Options{Cancel: eopt.Cancel})
+		case MethodEGDGame:
+			return egdGameAnswers(p.Query, p.pattern, p.frozen, db, eopt.Cancel)
+		case MethodGeneric:
+			return p.generic.Execute(db.Interned(), eopt.Cancel)
+		default:
+			return nil, fmt.Errorf("core: plan has unknown method %q", p.Method)
+		}
+	})
+}
+
+// timed wraps one evaluator run with what every Execute variant
+// reports: the "execute" span, the wall time, the answer count and the
+// canonical answer order.
+func (p *Plan) timed(eopt EvalOptions, run func(st *obs.EvalStats) ([][]term.Term, error)) ([][]term.Term, *obs.EvalStats, error) {
 	st := &obs.EvalStats{Method: p.Method}
 	sw := telemetry.StartTimer()
 	sp := eopt.Trace.Start("execute")
 	defer sp.End()
-	var (
-		ans [][]term.Term
-		err error
-	)
-	switch p.Method {
-	case MethodYannakakis:
-		ans, err = p.compiled.Execute(db, yannakakis.Options{
-			Cancel:       eopt.Cancel,
-			DisableIndex: eopt.DisableIndex,
-			Stats:        st,
-			Trace:        eopt.Trace,
-		})
-	case MethodGuardedGame:
-		ans, err = game.EvaluateOpt(p.Query, db, game.Options{Cancel: eopt.Cancel})
-	case MethodEGDGame:
-		ans, err = egdGameAnswers(p.Query, p.pattern, p.frozen, db, eopt.Cancel)
-	case MethodGeneric:
-		ans, err = genericEvaluate(p.Query, db, eopt.Cancel)
-	default:
-		return nil, nil, fmt.Errorf("core: plan has unknown method %q", p.Method)
-	}
+	ans, err := run(st)
 	if err != nil {
 		return nil, nil, mapEvalCancelled(err)
 	}
-	ans = canonicalizeAnswers(ans)
+	ans = hom.Canonicalize(ans)
 	st.Answers = len(ans)
 	st.WallNS = sw.ElapsedNS()
 	return ans, st, nil
@@ -205,82 +211,10 @@ func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, 
 // the package's ErrCancelled.
 func mapEvalCancelled(err error) error {
 	if errors.Is(err, yannakakis.ErrCancelled) || errors.Is(err, game.ErrCancelled) ||
-		errors.Is(err, chase.ErrCancelled) {
+		errors.Is(err, chase.ErrCancelled) || errors.Is(err, hom.ErrCancelled) {
 		return ErrCancelled
 	}
 	return err
-}
-
-// canonicalizeAnswers sorts and deduplicates an answer set by the
-// canonical tuple key, so every method returns byte-identical answer
-// lists for equal answer sets.
-func canonicalizeAnswers(ans [][]term.Term) [][]term.Term {
-	if len(ans) <= 1 {
-		return ans
-	}
-	type keyed struct {
-		key   string
-		tuple []term.Term
-	}
-	keyedAns := make([]keyed, 0, len(ans))
-	seen := make(map[string]bool, len(ans))
-	var buf []byte
-	for _, t := range ans {
-		buf = hom.AppendTupleKey(buf[:0], t)
-		if !seen[string(buf)] {
-			k := string(buf)
-			seen[k] = true
-			keyedAns = append(keyedAns, keyed{key: k, tuple: t})
-		}
-	}
-	sort.Slice(keyedAns, func(i, j int) bool { return keyedAns[i].key < keyedAns[j].key })
-	out := make([][]term.Term, len(keyedAns))
-	for i, a := range keyedAns {
-		out[i] = a.tuple
-	}
-	return out
-}
-
-// genericEvaluate is hom.Evaluate with cancellation: the backtracking
-// enumeration stops at the first cancel poll. Polls happen once per
-// enumerated homomorphism, so on answer-dense databases latency is
-// tight; a long fruitless backtrack between answers is not
-// interruptible without hooks inside package hom.
-func genericEvaluate(q *cq.CQ, db *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
-	if cancel == nil {
-		return hom.Evaluate(q, db), nil
-	}
-	hom.PrepareTarget(db)
-	// Duplicate rejection runs on dense integer ids from a per-call
-	// interner (4 bytes per term, allocation-free probe); the ids never
-	// reach the output, which canonicalizeAnswers orders by string keys.
-	local := symtab.New()
-	seen := make(map[string]bool)
-	var answers [][]term.Term
-	var buf []byte
-	aborted := false
-	hom.Enumerate(q.Atoms, db, nil, func(s term.Subst) bool {
-		select {
-		case <-cancel:
-			aborted = true
-			return false
-		default:
-		}
-		tuple := s.ResolveTuple(q.Free)
-		buf = buf[:0]
-		for _, t := range tuple {
-			buf = symtab.AppendID(buf, local.Intern(t))
-		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			answers = append(answers, tuple)
-		}
-		return true
-	})
-	if aborted {
-		return nil, ErrCancelled
-	}
-	return answers, nil
 }
 
 // egdGameAnswers evaluates a pre-chased egd-game plan: candidate

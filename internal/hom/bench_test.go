@@ -105,34 +105,42 @@ func BenchmarkTupleKeyBuilder(b *testing.B) {
 	}
 }
 
-// TestAllocsCandidateProbe is the regression guard for the interned
-// candidate-check path: selecting the most selective candidate set for
-// an atom (the per-node inner operation of Enumerate) must not allocate
-// — one symbol lookup plus one binary search per pinned position, a
-// by-value candSet out. The ci.sh `-run 'TestAllocs'` gate runs this
-// without -race on every push.
-func TestAllocsCandidateProbe(t *testing.T) {
+// TestAllocsProgramFlatInCandidates is the regression guard for the
+// compiled Program's inner loop: scanning candidates and probing fully
+// bound atoms must not allocate, so a run's allocation count depends on
+// the query and its answers, not on how many rows the search touches.
+// The ci.sh `-run 'Allocs'` gate runs this without -race on every push.
+func TestAllocsProgramFlatInCandidates(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	db := benchDB(2000, 200)
-	if db.Interned() == nil {
-		t.Fatal("no interned view")
+	// Fruitless two-hop search: every E-E path ends in a probe of Stop
+	// that fails, so the answer set stays empty at every size.
+	q := cq.MustParse("q(x) :- E(x,y), E(y,z), Stop(z).")
+	p := Compile(q)
+	var cands [2]int64
+	var allocs [2]float64
+	for i, size := range []int{200, 4000} {
+		db := benchDB(size, 200)
+		if err := db.Add(instance.NewAtom("Stop", term.Const("outside"))); err != nil {
+			t.Fatal(err)
+		}
+		iv := db.Interned()
+		e := p.newExec(iv, nil)
+		e.run() // also builds the sorted rows before measuring
+		cands[i] = e.cands
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if ans, _ := p.Execute(iv, nil); len(ans) != 0 {
+				t.Fatal("fruitless query found answers")
+			}
+		})
 	}
-	x, y := term.Var("x"), term.Var("y")
-	a := instance.NewAtom("E", x, y)
-	sub := term.NewSubst()
-	sub[x] = term.Const("c7")
-	var sink int
-	allocs := testing.AllocsPerRun(1000, func() {
-		cs := pickCandidates(db, a, sub)
-		sink += cs.n
-	})
-	if allocs != 0 {
-		t.Fatalf("pickCandidates allocates %v per op, want 0", allocs)
+	if cands[1] < 100*cands[0] {
+		t.Fatalf("candidates %d vs %d: fixture does not scale the search", cands[0], cands[1])
 	}
-	if sink == 0 {
-		t.Fatal("probe matched nothing; fixture too sparse to mean anything")
+	if allocs[1] != allocs[0] {
+		t.Fatalf("allocs/op grew with candidates scanned: %v at %d candidates, %v at %d",
+			allocs[0], cands[0], allocs[1], cands[1])
 	}
 }
 

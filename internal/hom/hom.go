@@ -5,13 +5,13 @@
 package hom
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
-	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
 )
 
@@ -102,9 +102,7 @@ func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Sub
 			return yield(sub)
 		}
 		a := ordered[i]
-		cs := pickCandidates(target, a, sub)
-		for k := 0; k < cs.n; k++ {
-			cand := cs.at(k)
+		for _, cand := range candidates(target, a, sub) {
 			added, ok := term.MatchTuple(sub, a.Args, cand.Args)
 			if !ok {
 				backtracks++
@@ -142,42 +140,61 @@ func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst)
 }
 
 // Evaluate computes q(I): the set of answer tuples, each a tuple over
-// the terms of I, deduplicated, in deterministic order.
-//
-// Allocation discipline: duplicate answers are rejected on dense
-// integer ids from a per-call interner — 4 bytes per term in a reused
-// buffer, and the map probe with string(buf) does not allocate. The
-// canonical string key is materialized once per distinct tuple, only to
-// order the answers (ids never influence the output order), and the
-// final sort compares those retained keys instead of re-deriving them
-// per comparison.
+// the terms of I, deduplicated, in canonical order. It compiles q and
+// runs the Program over I's interned view (built on first use and
+// cached on the instance until the next mutation).
 func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
-	PrepareTarget(target)
-	type keyed struct {
-		key   string
-		tuple []term.Term
+	ans, _ := Compile(q).Execute(target.Interned(), nil) // no cancel channel: cannot fail
+	return Canonicalize(ans)
+}
+
+// Canonicalize sorts an answer set by the canonical tuple key
+// (AppendTupleKey) and drops duplicate keys, keeping each key's first
+// tuple, so every evaluator returns byte-identical lists for equal
+// answer sets. All keys go into one pre-sized buffer and an index is
+// sorted over their offsets: no map and no string per tuple. Input
+// already in strictly increasing key order (the Yannakakis evaluator's
+// output) is returned as is, without the index or a new slice.
+func Canonicalize(ans [][]term.Term) [][]term.Term {
+	if len(ans) <= 1 {
+		return ans
 	}
-	local := symtab.New()
-	seen := make(map[string]bool)
-	var answers []keyed
-	var idbuf, keybuf []byte
-	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
-		tuple := s.ResolveTuple(q.Free)
-		idbuf = idbuf[:0]
-		for _, t := range tuple {
-			idbuf = symtab.AppendID(idbuf, local.Intern(t))
+	n := 0
+	for _, t := range ans {
+		for _, x := range t {
+			n += len(x.Name) + 2
 		}
-		if !seen[string(idbuf)] {
-			seen[string(idbuf)] = true
-			keybuf = AppendTupleKey(keybuf[:0], tuple)
-			answers = append(answers, keyed{key: string(keybuf), tuple: tuple})
+	}
+	buf := make([]byte, 0, n)
+	off := make([]int32, len(ans)+1) // key i is buf[off[i]:off[i+1]]
+	key := func(i int32) []byte { return buf[off[i]:off[i+1]] }
+	sorted := true
+	for i, t := range ans {
+		buf = AppendTupleKey(buf, t)
+		off[i+1] = int32(len(buf))
+		if sorted && i > 0 && bytes.Compare(key(int32(i-1)), key(int32(i))) >= 0 {
+			sorted = false
 		}
-		return true
+	}
+	if sorted {
+		return ans
+	}
+	idx := make([]int32, len(ans))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if c := bytes.Compare(key(idx[a]), key(idx[b])); c != 0 {
+			return c < 0
+		}
+		return idx[a] < idx[b] // equal keys: the first tuple leads
 	})
-	sort.Slice(answers, func(i, j int) bool { return answers[i].key < answers[j].key })
-	out := make([][]term.Term, len(answers))
-	for i, a := range answers {
-		out[i] = a.tuple
+	out := make([][]term.Term, 0, len(ans))
+	for k, i := range idx {
+		if k > 0 && bytes.Equal(key(i), key(idx[k-1])) {
+			continue
+		}
+		out = append(out, ans[i])
 	}
 	return out
 }
@@ -213,8 +230,10 @@ func tupleKey(ts []term.Term) string {
 // EvaluateBool reports whether the Boolean query holds (for non-Boolean
 // queries: whether the answer set is nonempty).
 func EvaluateBool(q *cq.CQ, target *instance.Instance) bool {
-	PrepareTarget(target)
-	return Exists(q.Atoms, target, nil)
+	// As a Boolean query the search stops at the first homomorphism.
+	boolean := &cq.CQ{Name: q.Name, Atoms: q.Atoms}
+	ans, _ := Compile(boolean).Execute(target.Interned(), nil) // no cancel channel: cannot fail
+	return len(ans) > 0
 }
 
 // HasTuple reports whether tuple ∈ q(I).

@@ -380,8 +380,8 @@ func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *I
 	n := nOld + len(ins)
 	out := &InternedRelation{
 		Arity: ar,
-		Atoms: make([]Atom, 0, n),
 		IDs:   make([]symtab.ID, 0, n*ar),
+		rows:  n,
 	}
 	rowMap := make([]int32, oldRows) // old row → new row, -1 when deleted
 	next := int32(0)
@@ -392,11 +392,9 @@ func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *I
 		}
 		rowMap[r] = next
 		next++
-		out.Atoms = append(out.Atoms, old.Atoms[r])
 		out.IDs = append(out.IDs, old.Row(r)...)
 	}
 	for _, a := range ins {
-		out.Atoms = append(out.Atoms, a)
 		for _, t := range a.Args {
 			id, ok := tab.Lookup(t)
 			if !ok {

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"sort"
+	"sync"
 
 	"semacyclic/internal/symtab"
 )
@@ -16,19 +17,21 @@ import (
 type InternedRelation struct {
 	// Arity is the relation's argument count (row width).
 	Arity int
-	// Atoms holds the relation's atoms; row i of IDs encodes Atoms[i].
-	// The order is the ByPred insertion order at build time (a private
-	// copy: later Instance mutations cannot corrupt it).
-	Atoms []Atom
 	// IDs is the row-major tuple matrix: row i occupies
-	// IDs[i*Arity : (i+1)*Arity].
+	// IDs[i*Arity : (i+1)*Arity]. Rows are in ByPred insertion order at
+	// build time; the matrix is the view's own, so later Instance
+	// mutations cannot corrupt it.
 	IDs []symtab.ID
 
+	rows int       // tuple count (IDs cannot give it for 0-ary relations)
 	perm [][]int32 // perm[pos]: row indices sorted by (IDs[row*Arity+pos], row)
+
+	sortOnce sync.Once
+	sorted   []symtab.ID // SortedRows' lexicographically sorted copy of IDs
 }
 
 // Rows returns the number of tuples.
-func (r *InternedRelation) Rows() int { return len(r.Atoms) }
+func (r *InternedRelation) Rows() int { return r.rows }
 
 // Row returns the interned tuple of row i. The slice aliases the
 // relation's matrix; callers must not mutate it.
@@ -67,6 +70,22 @@ func (r *InternedRelation) Range(pos int, id symtab.ID) (lo, hi int) {
 // RowAt maps an index of position pos's sorted run (as returned by
 // Range) back to a row number.
 func (r *InternedRelation) RowAt(pos, k int) int { return int(r.perm[pos][k]) }
+
+// SortedRows returns the relation's rows as a lexicographically sorted
+// row-major copy (symtab.SortRows order), built on first use and kept
+// for the relation's lifetime: the matrix symtab.ContainsRow probes
+// when every position of an atom is already fixed. The copy holds no
+// pointers, so the garbage collector never scans it. Callers must not
+// mutate it.
+func (r *InternedRelation) SortedRows() []symtab.ID {
+	r.sortOnce.Do(func() {
+		s := make([]symtab.ID, len(r.IDs))
+		copy(s, r.IDs)
+		symtab.SortRows(s, r.Arity)
+		r.sorted = s
+	})
+	return r.sorted
+}
 
 // InternedView is the integer-coded index of one instance snapshot: an
 // interner covering every term in the instance plus one columnar
@@ -130,18 +149,16 @@ func buildInterned(ins *Instance) *InternedView {
 	for _, p := range preds {
 		src := ins.byPred[p]
 		ar := len(src[0].Args)
-		atoms := make([]Atom, len(src))
-		copy(atoms, src)
-		ids := make([]symtab.ID, 0, ar*len(atoms))
-		for _, a := range atoms {
+		ids := make([]symtab.ID, 0, ar*len(src))
+		for _, a := range src {
 			for _, t := range a.Args {
 				ids = append(ids, tab.Intern(t))
 			}
 		}
-		r := &InternedRelation{Arity: ar, Atoms: atoms, IDs: ids}
+		r := &InternedRelation{Arity: ar, IDs: ids, rows: len(src)}
 		r.perm = make([][]int32, ar)
 		for pos := 0; pos < ar; pos++ {
-			pm := make([]int32, len(atoms))
+			pm := make([]int32, len(src))
 			for i := range pm {
 				pm[i] = int32(i)
 			}

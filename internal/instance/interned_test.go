@@ -25,6 +25,11 @@ func internedFixture(t *testing.T) *Instance {
 	return ins
 }
 
+// decodeRow de-interns row i of rel back into an atom of pred.
+func decodeRow(v *InternedView, rel *InternedRelation, pred string, i int) Atom {
+	return NewAtom(pred, v.Table.AppendTerms(nil, rel.Row(i))...)
+}
+
 func TestInternedViewRoundTrip(t *testing.T) {
 	ins := internedFixture(t)
 	v := ins.Interned()
@@ -32,13 +37,11 @@ func TestInternedViewRoundTrip(t *testing.T) {
 	if rel == nil || rel.Arity != 2 || rel.Rows() != 3 {
 		t.Fatalf("Relation(E) = %+v", rel)
 	}
-	// Every row decodes back to its atom.
+	// Every row decodes back to its atom, in ByPred order.
+	atoms := ins.ByPred("E")
 	for i := 0; i < rel.Rows(); i++ {
-		row := rel.Row(i)
-		for j, id := range row {
-			if v.Table.Term(id) != rel.Atoms[i].Args[j] {
-				t.Fatalf("row %d col %d: %v != %v", i, j, v.Table.Term(id), rel.Atoms[i].Args[j])
-			}
+		if got := decodeRow(v, rel, "E", i); !got.Equal(atoms[i]) {
+			t.Fatalf("row %d decodes to %v, ByPred has %v", i, got, atoms[i])
 		}
 	}
 	if v.Relation("Q") != nil {
@@ -57,7 +60,7 @@ func TestInternedRangeMatchesByPos(t *testing.T) {
 			if id, ok := v.Table.Lookup(c); ok {
 				lo, hi := rel.Range(pos, id)
 				for k := lo; k < hi; k++ {
-					got = append(got, rel.Atoms[rel.RowAt(pos, k)])
+					got = append(got, decodeRow(v, rel, "E", rel.RowAt(pos, k)))
 				}
 			}
 			if len(got) != len(want) {

@@ -310,13 +310,19 @@ func freeNames(u *decideUnit) []string {
 	return out
 }
 
-// renderAnswers converts answer tuples to plain string matrices. The
-// registry only holds ground constants, so Name is the full identity
-// of every answer term.
+// renderAnswers converts answer tuples to plain string matrices, all
+// rows sharing one backing slice. The registry only holds ground
+// constants, so Name is the full identity of every answer term.
 func renderAnswers(ans [][]term.Term) [][]string {
+	n := 0
+	for _, tup := range ans {
+		n += len(tup)
+	}
+	flat := make([]string, n)
 	out := make([][]string, len(ans))
 	for i, tup := range ans {
-		row := make([]string, len(tup))
+		row := flat[:len(tup):len(tup)]
+		flat = flat[len(tup):]
 		for j, t := range tup {
 			row[j] = t.Name
 		}

@@ -11,6 +11,7 @@ import (
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/term"
 )
 
 const testAtoms = "R(g1,a). R(g1,b). R(g2,c). S(a,x). S(b,y). S(c,z)."
@@ -240,5 +241,41 @@ func TestEvaluateDeadline504(t *testing.T) {
 	r, body := post(t, ts, "/evaluate", req)
 	if r.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (%s)", r.StatusCode, body)
+	}
+}
+
+// renderAnswers shares one backing slice across rows; the JSON it
+// encodes to must be exactly that of one slice per row, including
+// empty (Boolean) tuples and a nil answer set.
+func TestRenderAnswersMatchesPerRowSlices(t *testing.T) {
+	perRow := func(ans [][]term.Term) [][]string {
+		out := make([][]string, len(ans))
+		for i, tup := range ans {
+			row := make([]string, len(tup))
+			for j, x := range tup {
+				row[j] = x.Name
+			}
+			out[i] = row
+		}
+		return out
+	}
+	c := term.Const
+	for _, ans := range [][][]term.Term{
+		nil,
+		{{}},
+		{{c("a"), c("b")}, {c("b"), c("c")}, {c("a\x00"), c("")}},
+		{{c("x")}, {}, {c("y"), c("z"), c("w")}},
+	} {
+		got, err := json.Marshal(renderAnswers(ans))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(perRow(ans))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("renderAnswers JSON %s, want %s", got, want)
+		}
 	}
 }

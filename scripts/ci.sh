@@ -47,7 +47,8 @@ go test -race -shuffle=on ./...
 
 echo "== allocation guards (no race: counts must be exact) =="
 # The interned hot path promises 0 allocs/op on its probe operations
-# (candidate pre-filter, semijoin membership, index range), and the
+# (semijoin membership, index range) and allocations that do not grow
+# with the candidates a generic hom.Program scans, and the
 # telemetry nil-recorder span hook promises 0 allocs/op so untraced
 # requests pay nothing. The guards skip themselves under -race, so run
 # them once without it.
